@@ -88,6 +88,27 @@ impl MvdrDesigner {
     /// [`BeamformError::SingularMatrix`] when the distortionless
     /// denominator vanishes.
     pub fn weights(&self, steering: &[Complex]) -> Result<Vec<Complex>, BeamformError> {
+        let mut weights = vec![Complex::ZERO; steering.len()];
+        self.weights_into(steering, &mut weights)?;
+        Ok(weights)
+    }
+
+    /// [`MvdrDesigner::weights`] written into `out` instead of a fresh
+    /// vector — for sweeps designing thousands of cells. Same arithmetic,
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// See [`MvdrDesigner::weights`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `steering` differ in length.
+    pub fn weights_into(
+        &self,
+        steering: &[Complex],
+        out: &mut [Complex],
+    ) -> Result<(), BeamformError> {
         let m = self.rinv.rows();
         if steering.len() != m {
             return Err(BeamformError::DimensionMismatch {
@@ -95,17 +116,28 @@ impl MvdrDesigner {
                 actual: steering.len(),
             });
         }
-        let rinv_a = self.rinv.matvec(steering);
+        assert_eq!(out.len(), m, "output length mismatch");
+        // ρ⁻¹ p_s, accumulated exactly as `CMatrix::matvec` does.
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut acc = Complex::ZERO;
+            for (j, &a) in steering.iter().enumerate() {
+                acc += self.rinv.get(i, j) * a;
+            }
+            *o = acc;
+        }
         // Denominator p_sᴴ ρ⁻¹ p_s is real for Hermitian ρ.
         let denom: Complex = steering
             .iter()
-            .zip(rinv_a.iter())
+            .zip(out.iter())
             .map(|(a, ra)| a.conj() * *ra)
             .sum();
         if denom.abs() < 1e-300 {
             return Err(BeamformError::SingularMatrix);
         }
-        Ok(rinv_a.into_iter().map(|v| v / denom).collect())
+        for o in out.iter_mut() {
+            *o /= denom;
+        }
+        Ok(())
     }
 }
 

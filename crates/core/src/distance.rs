@@ -79,6 +79,46 @@ pub fn estimate_distance_traced(
     config: &PipelineConfig,
     ctx: TraceCtx,
 ) -> Result<DistanceEstimate, EchoImageError> {
+    check_train(captures, array)?;
+    // One noise covariance for the whole train: pooling every beep's
+    // preroll gives a far stabler estimate than any single 10 ms window,
+    // and the paper's ρ_n is likewise a single background-noise
+    // statistic, not a per-beep one.
+    let cov = resolve_covariance(captures, array, config);
+    let mut scratch = FftScratch::new();
+    let analytic: Vec<AnalyticChannels> = captures
+        .iter()
+        .map(|c| analytic_channels(c, &mut scratch))
+        .collect();
+    estimate_distance_shared(captures, &analytic, &cov, array, config, ctx)
+}
+
+/// The padded analytic signal of every channel of one capture.
+pub(crate) type AnalyticChannels = Vec<Vec<Complex>>;
+
+/// Computes a capture's [`AnalyticChannels`]: once per band-passed beep,
+/// shared by ranging and imaging.
+///
+/// The padded transform keeps every channel on the radix-2 path
+/// (captures are rarely power-of-two length, and Bluestein costs ~5× a
+/// direct pair). Ranging reads the envelope well inside the capture and
+/// imaging gates segments well inside it too; there the padded and
+/// exact transforms agree to the accumulation noise floor (DESIGN.md §6).
+pub(crate) fn analytic_channels(
+    capture: &BeepCapture,
+    scratch: &mut FftScratch,
+) -> AnalyticChannels {
+    (0..capture.num_channels())
+        .map(|ch| analytic_signal_padded_with(capture.channel(ch), scratch))
+        .collect()
+}
+
+/// Checks that a train is non-empty, consistently shaped, non-empty in
+/// samples and matches the array geometry.
+pub(crate) fn check_train(
+    captures: &[BeepCapture],
+    array: &MicArray,
+) -> Result<(), EchoImageError> {
     let first = captures.first().ok_or(EchoImageError::NoCaptures)?;
     let fs = first.sample_rate();
     let n = first.len();
@@ -97,6 +137,25 @@ pub fn estimate_distance_traced(
     if n == 0 {
         return Err(EchoImageError::InvalidParameter("captures hold no samples"));
     }
+    Ok(())
+}
+
+/// The estimator proper, on a train [`check_train`] has accepted, its
+/// per-capture analytic channels and the train's noise covariance. The
+/// pipeline calls this with the analytic data of its preprocess fan-out;
+/// [`estimate_distance_traced`] builds the same data itself, so both
+/// produce the same bits.
+pub(crate) fn estimate_distance_shared(
+    captures: &[BeepCapture],
+    analytic: &[AnalyticChannels],
+    cov: &SpatialCovariance,
+    array: &MicArray,
+    config: &PipelineConfig,
+    ctx: TraceCtx,
+) -> Result<DistanceEstimate, EchoImageError> {
+    let first = &captures[0];
+    let fs = first.sample_rate();
+    let n = first.len();
     let _span = echo_obs::span!("stage.distance");
     let mut tspan = ctx.child("stage.distance");
     tspan.attr_u64("beeps", captures.len() as u64);
@@ -115,27 +174,13 @@ pub fn estimate_distance_traced(
     let (chirp_plan, template_hit) = chirp_template_plan_classified(&config.beep);
     tspan.attr_bool("template_cache_hit", template_hit);
 
-    // One noise covariance for the whole train: pooling every beep's
-    // preroll gives a far stabler estimate than any single 10 ms window,
-    // and the paper's ρ_n is likewise a single background-noise
-    // statistic, not a per-beep one.
-    let cov = resolve_covariance(captures, array, config);
-    let weights = mvdr_weights(&cov, &steering)?;
+    let weights = mvdr_weights(cov, &steering)?;
 
     // Accumulate E(t) = (1/L) Σ |E_l(t)|² (Eq. 10).
     let mut accumulated = vec![0.0f64; n];
-    let mut hilbert_scratch = FftScratch::new();
     let mut corr_scratch = CorrelationScratch::new();
-    // The padded analytic signal keeps every per-channel transform on
-    // the radix-2 path (captures are rarely power-of-two length, and
-    // Bluestein costs ~5× a direct pair). The envelope is read well
-    // inside the capture, where the padded and exact transforms agree
-    // to the accumulation noise floor.
-    for capture in captures {
-        let analytic: Vec<Vec<Complex>> = (0..m)
-            .map(|ch| analytic_signal_padded_with(capture.channel(ch), &mut hilbert_scratch))
-            .collect();
-        let beamformed = apply_weights(&analytic, &weights);
+    for channels in analytic {
+        let beamformed = apply_weights(channels, &weights);
         // |C_l(t)| of the analytic correlation *is* the envelope E_l(t).
         let correlation = chirp_plan.matched_filter_complex_with(&beamformed, &mut corr_scratch);
         echo_dsp::simd::accum_norm_sqr(&mut accumulated, &correlation);
@@ -145,7 +190,7 @@ pub fn estimate_distance_traced(
         *v /= l;
     }
 
-    let estimate = locate_peaks(&accumulated, fs, first.preroll(), dcfg, config);
+    let estimate = locate_peaks(&accumulated, fs, first.preroll(), dcfg);
     if let Ok(est) = &estimate {
         tspan.attr_f64("horizontal_m", est.horizontal_distance);
     }
@@ -214,7 +259,6 @@ fn locate_peaks(
     fs: f64,
     preroll: usize,
     dcfg: &DistanceConfig,
-    config: &PipelineConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
     let max = echo_dsp::simd::max_f64(envelope).max(0.0);
     if max <= 0.0 {
@@ -293,9 +337,6 @@ fn locate_peaks(
         index: echo_idx,
         value: envelope[echo_idx],
     };
-    // Keep the strongest raw peak available for diagnostics (Fig. 5).
-    let _ = strongest_peak_in(&peaks, echo_start, echo_end);
-
     // Delay relative to the direct peak, plus the known speaker→mic path,
     // is the round-trip time to the dominant body patch.
     let round_trip =
@@ -313,8 +354,6 @@ fn locate_peaks(
         dcfg.elevation.sin()
     };
     let horizontal = corrected * sin_phi * dcfg.azimuth.sin();
-    let _ = config;
-    let _ = slant;
 
     Ok(DistanceEstimate {
         // Report the onset-corrected slant (the physical distance to the

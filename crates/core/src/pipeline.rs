@@ -6,14 +6,18 @@
 //! that run a whole beep train through to feature vectors.
 
 pub use crate::config::PipelineConfig;
-use crate::distance::{estimate_distance, estimate_distance_traced, DistanceEstimate};
+use crate::distance::{
+    analytic_channels, check_train, estimate_distance, estimate_distance_shared,
+    resolve_covariance, AnalyticChannels, DistanceEstimate,
+};
 use crate::error::EchoImageError;
 use crate::features::ImageFeatures;
 use crate::health::ChannelHealth;
-use crate::imaging::construct_image;
+use crate::imaging::{construct_image, image_planes, release_past_gates, PlaneSweep};
 use crate::par::parallel_map_indexed;
 use echo_array::MicArray;
 use echo_dsp::filter::SosFilter;
+use echo_dsp::FftScratch;
 use echo_ml::GrayImage;
 use echo_obs::TraceCtx;
 use echo_sim::BeepCapture;
@@ -147,35 +151,7 @@ impl EchoImagePipeline {
         ctx: TraceCtx,
         captures: &[BeepCapture],
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        echo_obs::counter!("pipeline.trains").inc();
-        echo_obs::counter!("pipeline.beeps_imaged").add(captures.len() as u64);
-        let filtered: Vec<BeepCapture> =
-            parallel_map_indexed(captures, self.config.threads, |i, c| {
-                let _t = ctx.child_at("stage.preprocess", i as u64);
-                self.preprocess(c)
-            });
-        let estimate = estimate_distance_traced(&filtered, &self.array, &self.config, ctx)?;
-        // One covariance for the whole train keeps the MVDR weights
-        // identical across beeps, so image variation reflects the user,
-        // not the covariance estimator.
-        let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
-        // Fan out over beeps, which each image serially — one layer of
-        // parallelism, not threads² workers.
-        let inner = self.config.clone().with_threads(1);
-        let images = parallel_map_indexed(&filtered, self.config.threads, |i, c| {
-            crate::imaging::construct_image_with_covariance_traced(
-                c,
-                &self.array,
-                estimate.horizontal_distance,
-                &cov,
-                &inner,
-                ctx,
-                i as u64,
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok((images, estimate))
+        self.images_from_train_multi_plane_traced(ctx, captures, &[])
     }
 
     /// Like [`EchoImagePipeline::images_from_train`], but additionally
@@ -211,40 +187,49 @@ impl EchoImagePipeline {
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
         echo_obs::counter!("pipeline.trains").inc();
         echo_obs::counter!("pipeline.beeps_imaged").add(captures.len() as u64);
-        let filtered: Vec<BeepCapture> =
+        // Band-pass every beep and take its analytic channels once:
+        // ranging and imaging both read them.
+        let (filtered, mut analytic): (Vec<BeepCapture>, Vec<AnalyticChannels>) =
             parallel_map_indexed(captures, self.config.threads, |i, c| {
                 let _t = ctx.child_at("stage.preprocess", i as u64);
-                self.preprocess(c)
-            });
-        let estimate = estimate_distance_traced(&filtered, &self.array, &self.config, ctx)?;
-        let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
+                let filtered = self.preprocess(c);
+                let analytic = analytic_channels(&filtered, &mut FftScratch::new());
+                (filtered, analytic)
+            })
+            .into_iter()
+            .unzip();
+        check_train(&filtered, &self.array)?;
+        // One covariance for the whole train, shared by ranging and
+        // imaging, keeps the MVDR weights identical across beeps, so
+        // image variation reflects the user, not the covariance
+        // estimator.
+        let cov = resolve_covariance(&filtered, &self.array, &self.config);
+        let estimate =
+            estimate_distance_shared(&filtered, &analytic, &cov, &self.array, &self.config, ctx)?;
         let mut planes = vec![estimate.horizontal_distance];
         planes.extend(
             plane_offsets
                 .iter()
                 .map(|o| (estimate.horizontal_distance + o).max(0.2)),
         );
-        // Flatten the capture × plane grid into one job list so the
-        // pool sees every unit of work at once; output order matches
-        // the serial nested loop (capture-major).
-        let jobs: Vec<(usize, f64)> = (0..filtered.len())
-            .flat_map(|ci| planes.iter().map(move |&d| (ci, d)))
-            .collect();
-        let inner = self.config.clone().with_threads(1);
-        let images = parallel_map_indexed(&jobs, self.config.threads, |i, &(ci, d)| {
-            crate::imaging::construct_image_with_covariance_traced(
-                &filtered[ci],
-                &self.array,
-                d,
-                &cov,
-                &inner,
-                ctx,
-                i as u64,
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok((images, estimate))
+        // Cell weights depend on the plane, not the beep: design each
+        // plane once for the whole train.
+        let sweeps = planes
+            .iter()
+            .map(|&d| PlaneSweep::design(&self.array, d, &cov, &self.config, self.config.threads))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (capture, channels) in filtered.iter().zip(&mut analytic) {
+            release_past_gates(capture, channels, &sweeps, &self.config);
+        }
+        // Fan out over beeps, which each image every plane serially from
+        // one gate table — one layer of parallelism, not threads²
+        // workers. Output order is capture-major, and a span's logical
+        // index is its flattened capture × plane position.
+        let images = parallel_map_indexed(&filtered, self.config.threads, |ci, c| {
+            let lidx = (ci * sweeps.len()) as u64;
+            image_planes(c, &analytic[ci], &sweeps, &self.config, ctx, lidx)
+        });
+        Ok((images.into_iter().flatten().collect(), estimate))
     }
 
     /// Extracts the classification features of an acoustic image.

@@ -9,6 +9,8 @@
 use echo_ml::GrayImage;
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
+use echoimage_core::distance::{estimate_distance, resolve_covariance};
+use echoimage_core::imaging::construct_image_with_covariance;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
 use echoimage_core::steering_cache;
 
@@ -106,4 +108,59 @@ fn auto_thread_count_matches_serial_reference() {
         .images_from_train(&caps)
         .unwrap();
     assert_images_bit_identical(&serial, &auto);
+}
+
+/// The per-call sequence a caller timing each layer issues: band-pass,
+/// range, resolve the covariance, then image each beep at each plane.
+fn per_call_images(
+    pipeline: &EchoImagePipeline,
+    caps: &[echo_sim::BeepCapture],
+    offsets: &[f64],
+) -> Vec<GrayImage> {
+    let filtered: Vec<_> = caps.iter().map(|c| pipeline.preprocess(c)).collect();
+    let est = estimate_distance(&filtered, pipeline.array(), pipeline.config()).unwrap();
+    let cov = resolve_covariance(&filtered, pipeline.array(), pipeline.config());
+    let mut planes = vec![est.horizontal_distance];
+    planes.extend(
+        offsets
+            .iter()
+            .map(|o| (est.horizontal_distance + o).max(0.2)),
+    );
+    let mut images = Vec::new();
+    for capture in &filtered {
+        for &d in &planes {
+            images.push(
+                construct_image_with_covariance(
+                    capture,
+                    pipeline.array(),
+                    d,
+                    &cov,
+                    pipeline.config(),
+                )
+                .unwrap(),
+            );
+        }
+    }
+    images
+}
+
+#[test]
+fn shared_train_path_matches_per_call_sequence() {
+    // The pipeline shares one analytic signal per beep, one covariance
+    // per train and one weight design per plane; the public per-call
+    // functions build each for themselves. Both must yield the same bits.
+    let scene = Scene::new(SceneConfig::laboratory_quiet(23));
+    let body = BodyModel::from_seed(25);
+    let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 3, 0);
+    let offsets = [-0.03, 0.03];
+    for threads in [1, 0] {
+        let pipeline = EchoImagePipeline::new(config(threads));
+        let (single, _) = pipeline.images_from_train(&caps).unwrap();
+        assert_images_bit_identical(&single, &per_call_images(&pipeline, &caps, &[]));
+        let (multi, _) = pipeline
+            .images_from_train_multi_plane(&caps, &offsets)
+            .unwrap();
+        assert_eq!(multi.len(), 3 * 3);
+        assert_images_bit_identical(&multi, &per_call_images(&pipeline, &caps, &offsets));
+    }
 }

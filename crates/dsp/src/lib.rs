@@ -43,7 +43,6 @@ pub mod complex;
 pub mod correlate;
 pub mod fft;
 pub mod filter;
-pub mod fir;
 pub mod hilbert;
 pub mod interp;
 pub mod peaks;

@@ -43,7 +43,6 @@ pub mod kernel;
 pub mod knn;
 pub mod oneclass;
 pub mod pca;
-pub mod platt;
 pub mod scaler;
 pub mod svm;
 
@@ -53,6 +52,5 @@ pub use kernel::Kernel;
 pub use knn::KnnClassifier;
 pub use oneclass::OneClassSvm;
 pub use pca::Pca;
-pub use platt::PlattScaler;
 pub use scaler::StandardScaler;
 pub use svm::{SvmBinary, SvmMulticlass};
